@@ -2,14 +2,25 @@
 
 CI runs ``python -m repro.analysis --all`` on every push, so the suite's
 cost is part of the development loop: this benchmark times each of the
-ten passes individually, measures the schedule simulator's throughput
+eleven passes individually, measures the schedule simulator's throughput
 (trace events generated per second across the liveness battery), and
 persists both a human-readable table and a machine-readable
-``BENCH_analysis.json`` for tooling to ratchet against.
+``BENCH_analysis.json`` for tooling to ratchet against.  The payload is
+stamped with the commit, a digest of the measured source tree, the
+Python and numpy versions and the host, so numbers from different hosts
+or trees are never compared blind.
+
+To record a before/after pair, run the benchmark on the old tree first
+(``PYTHONPATH=<old checkout>/src``), keep its ``BENCH_analysis.json``
+aside, then run it on the new tree with ``BENCH_ANALYSIS_BEFORE`` naming
+the kept file: its stamp and per-pass seconds land under ``"before"``.
 """
 
+import hashlib
 import json
 import os
+import platform
+import subprocess
 import time
 
 from common import RESULTS_DIR, emit, format_table, run_once
@@ -19,7 +30,9 @@ JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_analysis.json")
 
 def _timed_passes() -> dict[str, float]:
     """Wall-time per analysis pass, in seconds, in CI execution order."""
+    import repro
     from repro.analysis.contracts import verify_contracts
+    from repro.analysis.elastic import verify_elastic
     from repro.analysis.health import verify_health
     from repro.analysis.liveness import verify_liveness
     from repro.analysis.overlap import verify_overlap
@@ -33,7 +46,8 @@ def _timed_passes() -> dict[str, float]:
                                        verify_fault_determinism,
                                        verify_fault_schedules)
 
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    # lint the tree being measured, which PYTHONPATH may point elsewhere
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     passes = {
         "lint": lambda: run_lint([src]),
         "schedule": verify_schedules,
@@ -46,6 +60,7 @@ def _timed_passes() -> dict[str, float]:
         "liveness": verify_liveness,
         "overlap": verify_overlap,
         "sched": verify_sched,
+        "elastic": verify_elastic,
     }
     timings = {}
     for name, battery in passes.items():
@@ -70,6 +85,55 @@ def _simulator_throughput() -> dict[str, float]:
             "events_per_sec": events / seconds if seconds else 0.0}
 
 
+def _stamp() -> dict:
+    """Which code was measured, and where."""
+    import numpy
+
+    import repro
+
+    src = os.path.dirname(os.path.abspath(repro.__file__))
+
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", *args], cwd=src,
+                                  capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = hashlib.sha256()
+    for folder, dirs, files in sorted(os.walk(src)):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                sha.update(os.path.relpath(path, src).encode())
+                with open(path, "rb") as handle:
+                    sha.update(handle.read())
+    status = git("status", "--porcelain", "--", ".")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "src_dirty": None if status is None else bool(status),
+        "src_sha256": sha.hexdigest()[:16],
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
+def _before() -> dict | None:
+    """The stamped passes of an earlier run, if one is named."""
+    path = os.environ.get("BENCH_ANALYSIS_BEFORE")
+    if not path:
+        return None
+    with open(path) as handle:
+        earlier = json.load(handle)
+    return {key: earlier[key] for key in ("stamp", "passes", "total_seconds")
+            if key in earlier}
+
+
 def analysis_passes():
     timings = _timed_passes()
     sim = _simulator_throughput()
@@ -79,24 +143,33 @@ def analysis_passes():
 def test_bench_analysis_passes(benchmark):
     timings, sim = run_once(benchmark, analysis_passes)
     total = sum(timings.values())
+    before = _before()
+    earlier = before["passes"] if before else {}
 
-    rows = [[name, f"{seconds:.3f}", f"{100 * seconds / total:.1f}%"]
-            for name, seconds in timings.items()]
-    rows.append(["total", f"{total:.3f}", "100.0%"])
+    def was(name: str) -> str:
+        return f"{earlier[name]['seconds']:.3f}" if name in earlier else "-"
+
+    rows = [[name, f"{seconds:.3f}", f"{100 * seconds / total:.1f}%",
+             was(name)] for name, seconds in timings.items()]
+    rows.append(["total", f"{total:.3f}", "100.0%",
+                 f"{before['total_seconds']:.3f}" if before else "-"])
     emit("analysis_passes", format_table(
         "Static-analysis suite wall time (python -m repro.analysis --all)",
-        ["pass", "seconds", "share"], rows,
+        ["pass", "seconds", "share", "before"], rows,
         note=(f"simulator: {sim['events']:.0f} trace events in "
               f"{sim['seconds']:.3f}s across the liveness battery "
               f"({sim['events_per_sec']:,.0f} events/sec)")))
 
     payload = {
-        "version": 1,
+        "version": 2,
+        "stamp": _stamp(),
         "passes": {name: {"seconds": seconds}
                    for name, seconds in timings.items()},
         "total_seconds": total,
         "simulator": sim,
     }
+    if before is not None:
+        payload["before"] = before
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(JSON_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -104,5 +177,5 @@ def test_bench_analysis_passes(benchmark):
 
     assert set(payload["passes"]) == {
         "lint", "schedule", "contracts", "races", "plans", "shapes",
-        "health", "liveness", "overlap", "sched"}
+        "health", "liveness", "overlap", "sched", "elastic"}
     assert sim["events"] > 0 and sim["events_per_sec"] > 0

@@ -19,8 +19,11 @@ scheduler's own bookkeeping.
             or a job's step chain is torn (gaps, overlaps, a finish
             time that is not the last step's end).
 ``SCD003``  cross-job conservation broken, checked in **exact
-            arithmetic**: per-job busy seconds summed as
-            :class:`fractions.Fraction` must equal pool totals, the
+            arithmetic**: per-job busy seconds must sum to the pool
+            totals with equality (both sides are dyadic integer
+            accumulations over one 2**-1074 unit, returned as
+            :class:`fractions.Fraction` — see
+            :mod:`repro.cluster.simclock`), the
             float counters must bit-match a replay of the audit
             ledger, per-job wire bytes (integers) must agree between
             the jobs' own counters and the network's tag counters, no
@@ -54,6 +57,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -294,14 +298,12 @@ def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
         before_busy = {name: dict(res.busy_by_job)
                        for name, res in pool.resources().items()}
         before_bytes = network.job_byte_tags()
-        before_trace = {job: sum(1 for r in network.trace if r.job == job)
-                        for job in {r.job for r in network.trace}}
+        before_trace = Counter(r.job for r in network.trace)
         saved_trace = list(network.trace)
         network.clear_trace(victim)
         if any(r.job == victim for r in network.trace):
             emit(f"clear_trace({victim}) left the job's own records")
-        survivors = {job: sum(1 for r in network.trace if r.job == job)
-                     for job in {r.job for r in network.trace}}
+        survivors = Counter(r.job for r in network.trace)
         for job, count in sorted(before_trace.items(),
                                  key=lambda kv: (kv[0] is None, kv[0])):
             if job != victim and survivors.get(job, 0) != count:
@@ -476,7 +478,8 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
         findings.append(_finding("SCD006", path, message, scheme, world))
 
     try:
-        metrics = compute_metrics(result)
+        baselines = isolated_step_times(result)
+        metrics = compute_metrics(result, baselines=baselines)
     except Exception as exc:   # noqa: B902 — the finding *is* the report
         emit(f"compute_metrics raised {type(exc).__name__}: {exc}")
         return findings
@@ -488,7 +491,9 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     if metrics.completed > metrics.n_jobs:
         emit(f"{metrics.completed} completions out of {metrics.n_jobs} "
              f"job(s)")
-    if isolated_step_times(result) != isolated_step_times(result):
+    # a second, independent replay: never memoise the baselines, or
+    # this check compares a value with itself
+    if isolated_step_times(result) != baselines:
         emit("isolated-baseline replay is nondeterministic: two replays "
              "of the same result disagree")
     return findings

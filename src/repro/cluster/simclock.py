@@ -17,16 +17,35 @@ is order-sensitive, so "per-job seconds sum to the pool total" cannot
 be checked to tolerance without hiding real accounting leaks.  With
 :meth:`ResourcePool.enable_audit` every occupation is appended to a
 per-resource ledger of ``(job, duration)`` entries; the exact accessors
-sum those ledgers in :class:`fractions.Fraction` arithmetic (every
-float is an exact rational), so conservation holds with **equality**
-or not at all.
+sum those ledgers exactly, so conservation holds with **equality** or
+not at all.  Every finite float is an integer multiple of 2**-1074 (the
+smallest subnormal), so the sums are dyadic integer accumulations: the
+ledger collapses to its distinct ``(job, duration)`` entries with a
+:class:`collections.Counter`, each duration becomes an integer count of
+2**-1074 units from ``as_integer_ratio()``, the counts add as Python
+ints, and one :class:`fractions.Fraction` is built per total at the end.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
 __all__ = ["Resource", "ResourcePool"]
+
+#: exact ledger sums count in units of 2**-1074; a float's
+#: ``as_integer_ratio()`` denominator is 2**k with 0 <= k <= 1074
+_UNIT_BITS = 1074
+
+
+def _exact_sum(counts: Iterable[tuple[float, int]]) -> Fraction:
+    """Exact ``sum(duration * count)`` over ``(duration, count)`` pairs."""
+    units = 0
+    for duration, count in counts:
+        num, den = duration.as_integer_ratio()
+        units += (num << (_UNIT_BITS + 1 - den.bit_length())) * count
+    return Fraction(units, 1 << _UNIT_BITS)
 
 
 class Resource:
@@ -63,25 +82,28 @@ class Resource:
             self.ledger.append((job, duration))
         return start, end
 
-    # -- exact (Fraction) conservation accessors --------------------------
-    def exact_busy_seconds(self) -> Fraction:
-        """Exact total occupied seconds (requires an audit ledger)."""
+    # -- exact (dyadic integer) conservation accessors ---------------------
+    def _audit_ledger(self) -> list[tuple[int | None, float]]:
         if self.ledger is None:
             raise RuntimeError(
                 f"resource {self.name}: exact accounting needs "
                 f"ResourcePool.enable_audit() before simulating")
-        return sum((Fraction(d) for _, d in self.ledger), Fraction(0))
+        return self.ledger
+
+    def exact_busy_seconds(self) -> Fraction:
+        """Exact total occupied seconds (requires an audit ledger).
+
+        A pass of its own over the durations, independent of
+        :meth:`exact_busy_by_job`: SCD003 compares the two.
+        """
+        return _exact_sum(Counter(d for _, d in self._audit_ledger()).items())
 
     def exact_busy_by_job(self) -> dict[int | None, Fraction]:
         """Exact occupied seconds per job tag (``None`` = untagged)."""
-        if self.ledger is None:
-            raise RuntimeError(
-                f"resource {self.name}: exact accounting needs "
-                f"ResourcePool.enable_audit() before simulating")
-        by_job: dict[int | None, Fraction] = {}
-        for job, duration in self.ledger:
-            by_job[job] = by_job.get(job, Fraction(0)) + Fraction(duration)
-        return by_job
+        grouped: dict[int | None, list[tuple[float, int]]] = {}
+        for (job, duration), count in Counter(self._audit_ledger()).items():
+            grouped.setdefault(job, []).append((duration, count))
+        return {job: _exact_sum(pairs) for job, pairs in grouped.items()}
 
     def replay_float_accumulation(self) -> tuple[float, dict[int, float]]:
         """Re-fold the ledger with float addition, in commit order.
@@ -91,13 +113,9 @@ class Resource:
         counters: any mutation path that bumps a counter without
         appending to the ledger (or vice versa) is an accounting leak.
         """
-        if self.ledger is None:
-            raise RuntimeError(
-                f"resource {self.name}: exact accounting needs "
-                f"ResourcePool.enable_audit() before simulating")
         total = 0.0
         by_job: dict[int, float] = {}
-        for job, duration in self.ledger:
+        for job, duration in self._audit_ledger():
             total += duration
             if job is not None:
                 by_job[job] = by_job.get(job, 0.0) + duration
@@ -200,21 +218,12 @@ class ResourcePool:
             if job in res.busy_by_job
         }
 
-    # -- exact (Fraction) conservation accessors --------------------------
+    # -- exact (dyadic integer) conservation accessors ---------------------
     def exact_busy_seconds(self) -> dict[str, Fraction]:
         """Exact occupied seconds per resource (requires
         :meth:`enable_audit` before simulating)."""
         return {name: res.exact_busy_seconds()
                 for name, res in self._resources.items()}
-
-    def exact_job_busy_seconds(self, job: int) -> dict[str, Fraction]:
-        """Exact seconds each resource spent serving ``job``."""
-        result: dict[str, Fraction] = {}
-        for name, res in self._resources.items():
-            by_job = res.exact_busy_by_job()
-            if job in by_job:
-                result[name] = by_job[job]
-        return result
 
     def exact_untagged_seconds(self) -> dict[str, Fraction]:
         """Exact seconds occupied with no job tag, per resource.

@@ -46,10 +46,6 @@ class TensorSpec:
     shape: tuple[int, ...] = ()
 
     @property
-    def bytes_fp32(self) -> int:
-        return self.numel * FP32_BYTES
-
-    @property
     def matrix_shape(self) -> tuple[int, int]:
         """(rows, cols) view used by decomposition compressors."""
         if len(self.shape) < 2:

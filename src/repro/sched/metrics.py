@@ -128,9 +128,17 @@ def isolated_step_times(result: FleetResult) -> dict[int, float]:
     return baselines
 
 
-def compute_metrics(result: FleetResult, top_links: int = 8) -> FleetMetrics:
-    """Reduce a :class:`FleetResult` to fleet-level numbers."""
-    baselines = isolated_step_times(result)
+def compute_metrics(result: FleetResult, top_links: int = 8,
+                    baselines: dict[int, float] | None = None
+                    ) -> FleetMetrics:
+    """Reduce a :class:`FleetResult` to fleet-level numbers.
+
+    ``baselines`` takes the :func:`isolated_step_times` of ``result``
+    when the caller has already replayed them; by default they are
+    replayed here.
+    """
+    if baselines is None:
+        baselines = isolated_step_times(result)
     waits = [s.queue_wait for s in result.states if s.queue_wait is not None]
     makespan = result.makespan
 

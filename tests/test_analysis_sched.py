@@ -8,6 +8,7 @@ an injected probe network), and proves the matching rule reports it.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -29,6 +30,7 @@ from repro.analysis.sched import (
     verify_sched,
 )
 from repro.cluster import Network, get_machine, make_cluster
+from repro.cluster.simclock import Resource
 from repro.models import ModelSpec, TensorSpec
 from repro.sched import (
     DYADIC_SHARES,
@@ -303,6 +305,25 @@ def test_scd003_untagged_occupation_flagged():
     assert "no job tag" in messages_of(findings)
 
 
+def test_scd003_per_job_sum_short_of_total_flagged(monkeypatch):
+    result = run_fleet(shared_jobs())
+    victim = pick_busy_link(result)
+    exact_by_job = Resource.exact_busy_by_job
+
+    def drop_one_job(resource):
+        by_job = exact_by_job(resource)
+        if resource is victim:
+            by_job.pop(next(iter(by_job)))
+        return by_job
+
+    monkeypatch.setattr(Resource, "exact_busy_by_job", drop_one_job)
+    findings = _certify_conservation(result, PATH)
+    assert rules_of(findings) == {"SCD003"}
+    assert len(findings) == 1
+    assert f"resource {victim.name}: per-job exact seconds do not sum to " \
+           f"the resource total" in messages_of(findings)
+
+
 def test_scd003_wire_byte_mismatch_flagged():
     result = run_fleet(shared_jobs())
     result.network._job_bytes[1] += 1
@@ -402,6 +423,37 @@ def test_scd006_out_of_range_jain_flagged(clean_result, monkeypatch):
     findings = _certify_fairness(clean_result, PATH)
     assert rules_of(findings) == {"SCD006"}
     assert "outside (0, 1]" in messages_of(findings)
+
+
+def test_scd006_nondeterministic_baseline_flagged(clean_result,
+                                                 monkeypatch):
+    import repro.sched.metrics as metrics_mod
+
+    replay = metrics_mod.isolated_step_times
+    calls = []
+
+    def drifting(result):
+        calls.append(result)
+        baselines = replay(result)
+        if len(calls) == 2:   # the determinism re-check drifts by an ulp
+            job = next(iter(baselines))
+            baselines[job] = math.nextafter(baselines[job], math.inf)
+        return baselines
+
+    monkeypatch.setattr(metrics_mod, "isolated_step_times", drifting)
+    findings = _certify_fairness(clean_result, PATH)
+    assert len(calls) == 2
+    assert rules_of(findings) == {"SCD006"}
+    assert "nondeterministic" in messages_of(findings)
+
+
+def test_compute_metrics_accepts_precomputed_baselines(clean_result):
+    from repro.sched.metrics import compute_metrics, isolated_step_times
+
+    given = compute_metrics(clean_result,
+                            baselines=isolated_step_times(clean_result))
+    assert given == compute_metrics(clean_result)
+    assert given.to_dict() == clean_result.metrics().to_dict()
 
 
 def test_scd006_raising_percentile_flagged(monkeypatch):
