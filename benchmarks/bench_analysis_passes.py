@@ -16,14 +16,12 @@ aside, then run it on the new tree with ``BENCH_ANALYSIS_BEFORE`` naming
 the kept file: its stamp and per-pass seconds land under ``"before"``.
 """
 
-import hashlib
 import json
 import os
-import platform
-import subprocess
 import time
 
-from common import RESULTS_DIR, emit, format_table, run_once
+from common import (RESULTS_DIR, earlier_run, emit, format_table, run_once,
+                    stamp)
 
 JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_analysis.json")
 
@@ -85,55 +83,6 @@ def _simulator_throughput() -> dict[str, float]:
             "events_per_sec": events / seconds if seconds else 0.0}
 
 
-def _stamp() -> dict:
-    """Which code was measured, and where."""
-    import numpy
-
-    import repro
-
-    src = os.path.dirname(os.path.abspath(repro.__file__))
-
-    def git(*args: str) -> str | None:
-        try:
-            proc = subprocess.run(["git", *args], cwd=src,
-                                  capture_output=True, text=True)
-        except OSError:
-            return None
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    sha = hashlib.sha256()
-    for folder, dirs, files in sorted(os.walk(src)):
-        dirs.sort()
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                sha.update(os.path.relpath(path, src).encode())
-                with open(path, "rb") as handle:
-                    sha.update(handle.read())
-    status = git("status", "--porcelain", "--", ".")
-    return {
-        "commit": git("rev-parse", "HEAD"),
-        "src_dirty": None if status is None else bool(status),
-        "src_sha256": sha.hexdigest()[:16],
-        "host": platform.node(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def _before() -> dict | None:
-    """The stamped passes of an earlier run, if one is named."""
-    path = os.environ.get("BENCH_ANALYSIS_BEFORE")
-    if not path:
-        return None
-    with open(path) as handle:
-        earlier = json.load(handle)
-    return {key: earlier[key] for key in ("stamp", "passes", "total_seconds")
-            if key in earlier}
-
-
 def analysis_passes():
     timings = _timed_passes()
     sim = _simulator_throughput()
@@ -143,7 +92,8 @@ def analysis_passes():
 def test_bench_analysis_passes(benchmark):
     timings, sim = run_once(benchmark, analysis_passes)
     total = sum(timings.values())
-    before = _before()
+    before = earlier_run("BENCH_ANALYSIS_BEFORE",
+                         ("stamp", "passes", "total_seconds"))
     earlier = before["passes"] if before else {}
 
     def was(name: str) -> str:
@@ -162,7 +112,7 @@ def test_bench_analysis_passes(benchmark):
 
     payload = {
         "version": 2,
-        "stamp": _stamp(),
+        "stamp": stamp(),
         "passes": {name: {"seconds": seconds}
                    for name, seconds in timings.items()},
         "total_seconds": total,

@@ -11,8 +11,12 @@ not the quantity of interest.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
+import subprocess
+import time
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -80,3 +84,61 @@ def write_bench_json(area: str, rows: list[dict],
 def run_once(benchmark, fn):
     """Run a campaign exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def stamp() -> dict:
+    """Which code was measured, and where.
+
+    The commit and a digest of the imported ``repro`` source (which
+    ``PYTHONPATH`` may point at another checkout), whether that source
+    differs from the commit, the host, and the Python and numpy versions.
+    """
+    import numpy
+
+    import repro
+
+    src = os.path.dirname(os.path.abspath(repro.__file__))
+
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", *args], cwd=src,
+                                  capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = hashlib.sha256()
+    for folder, dirs, files in sorted(os.walk(src)):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                sha.update(os.path.relpath(path, src).encode())
+                with open(path, "rb") as handle:
+                    sha.update(handle.read())
+    status = git("status", "--porcelain", "--", ".")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "src_dirty": None if status is None else bool(status),
+        "src_sha256": sha.hexdigest()[:16],
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
+def earlier_run(env_var: str, keys: tuple[str, ...]) -> dict | None:
+    """``keys`` of the earlier payload the ``env_var`` file names, if any.
+
+    A before/after pair is recorded by running a benchmark on the old
+    tree first, keeping its JSON aside, and naming that file in
+    ``env_var`` when the new tree is measured.
+    """
+    path = os.environ.get(env_var)
+    if not path:
+        return None
+    with open(path) as handle:
+        earlier = json.load(handle)
+    return {key: earlier[key] for key in keys if key in earlier}

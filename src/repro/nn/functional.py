@@ -4,9 +4,19 @@ These functions are the computational core of the :mod:`repro.nn` layers.
 Each ``*_backward`` takes the upstream gradient plus whatever the forward
 pass cached, and returns gradients for the forward inputs.  Keeping the
 math here lets the layer classes stay small and testable.
+
+Float32 contract: every op returns the dtype of its array input, so a
+float32 model stays float32 from input to loss.  Constants multiplied
+into activations are therefore Python floats (weak scalars under
+NumPy's NEP 50 promotion), never numpy float64 scalars such as
+``np.sqrt(2.0)``, which would silently widen the result to float64.
+Integer powers are written as products (``x * x * x``): ``x**3`` goes
+through the far slower general ``pow`` loop.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +36,8 @@ __all__ = [
     "col2im",
 ]
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -39,18 +50,31 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad * (x > 0.0)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term GELU's forward and backward share."""
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+
+def _gelu_given_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU of ``x`` given its tanh term ``t = _gelu_tanh(x)``."""
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad_given_tanh(grad: np.ndarray, x: np.ndarray,
+                          t: np.ndarray) -> np.ndarray:
+    """Gradient of GELU at ``x`` given its tanh term ``t``."""
+    dinner = _GELU_C * (1.0 + 3 * _GELU_A * (x * x))
+    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as used by BERT/GPT)."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    return _gelu_given_tanh(x, _gelu_tanh(x))
 
 
 def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of :func:`gelu` with respect to its input."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+    return _gelu_grad_given_tanh(grad, x, _gelu_tanh(x))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

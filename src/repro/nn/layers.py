@@ -256,16 +256,19 @@ class ReLU(Module):
 
 
 class GELU(Module):
+    """GELU that keeps its forward tanh term, so backward skips the tanh."""
+
     def __init__(self):
         super().__init__()
         self._x: np.ndarray | None = None
+        self._t: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return F.gelu(x)
+        self._x, self._t = x, F._gelu_tanh(x)
+        return F._gelu_given_tanh(x, self._t)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return F.gelu_backward(grad, self._x)
+        return F._gelu_grad_given_tanh(grad, self._x, self._t)
 
 
 class Tanh(Module):

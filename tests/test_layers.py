@@ -19,6 +19,7 @@ from repro.nn import (
     Residual,
     Sequential,
 )
+from repro.nn import functional as F
 
 
 def check_param_gradient(layer, x, param_name, idx, eps=1e-3, rtol=5e-2):
@@ -261,3 +262,17 @@ def test_gelu_module_backward_matches_function():
     layer = GELU()
     x = rng.normal(size=(5, 5)).astype(np.float32)
     check_input_gradient(layer, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_layer_is_bit_identical_to_functional(dtype):
+    """The layer caches its forward tanh term; the fold must not drift."""
+    rng = np.random.default_rng(19)
+    x = rng.normal(scale=3.0, size=(4, 6, 8)).astype(dtype)
+    grad = rng.normal(size=x.shape).astype(dtype)
+    layer = GELU()
+    out = layer(x)
+    grad_in = layer.backward(grad)
+    assert out.dtype == grad_in.dtype == dtype
+    assert np.array_equal(out, F.gelu(x))
+    assert np.array_equal(grad_in, F.gelu_backward(grad, x))

@@ -180,6 +180,8 @@ def test_dgc_diverges_with_stacked_momentum():
     from repro.training import train_family
 
     config = CGXConfig(compression=CompressionSpec("dgc", density=0.05))
-    result = train_family("mlp", world_size=2, config=config, steps=80,
-                          eval_every=80, seed=4)
+    # the run diverges on purpose; its overflow warnings are expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train_family("mlp", world_size=2, config=config, steps=80,
+                              eval_every=80, seed=4)
     assert not np.isfinite(result.final_loss) or result.final_metric < 0.5
